@@ -401,11 +401,8 @@ void ServeDaemon::publish_gate_enter() {
 }
 
 void ServeDaemon::publish_gate_exit() {
-  {
-    const es::LockGuard lock(gate_mu_);
-    --in_flight_publishes_;
-  }
-  gate_cv_.notify_all();
+  const es::LockGuard lock(gate_mu_);
+  --in_flight_publishes_;
 }
 
 void ServeDaemon::on_decision(const stream::Event& e,
@@ -435,24 +432,40 @@ void ServeDaemon::on_decision(const stream::Event& e,
   pending.conn->send(encode_decision(reply));
 }
 
-bool ServeDaemon::do_checkpoint() {
-  const auto cb = [this](const stream::Event& e,
-                         const solver::OnlineDecision& d) {
-    on_decision(e, d);
-  };
-  // Quiesce publishers, then pump the queues dry: save_checkpoint's
-  // queues-drained contract (checkpoint.h) demands an empty bus.
-  {
-    es::UniqueLock lock(gate_mu_);
-    gate_paused_ = true;
-    while (in_flight_publishes_ > 0) gate_cv_.wait(lock);
-  }
-  for (;;) {
-    const std::size_t n = pipeline_.pump_decisions(cb);
-    if (n == 0) break;
+std::size_t ServeDaemon::pump_pipeline() {
+  const std::size_t n = pipeline_.pump(
+      [this](const stream::Event& e, const solver::OnlineDecision& d) {
+        on_decision(e, d);
+      });
+  if (n > 0) {
     events_consumed_.fetch_add(n, std::memory_order_relaxed);
     consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
   }
+  return n;
+}
+
+bool ServeDaemon::do_checkpoint() {
+  // Quiesce publishers, then pump the queues dry: save_checkpoint's
+  // queues-drained contract (checkpoint.h) demands an empty bus. The pump
+  // keeps running until the in-flight publishes finish — one blocked on a
+  // full kBlock shard completes only once the pump drains that shard. The
+  // gate lock is never held while pumping.
+  {
+    const es::LockGuard lock(gate_mu_);
+    gate_paused_ = true;
+  }
+  for (;;) {
+    const std::size_t n = pump_pipeline();
+    {
+      const es::LockGuard lock(gate_mu_);
+      if (in_flight_publishes_ == 0) break;
+    }
+    if (n == 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(tunables().pump_idle_micros));
+    }
+  }
+  (void)pump_pipeline();  // what the last in-flight publishes queued
   bool ok = true;
   try {
     pipeline_.save_checkpoint_file(config_.checkpoint_path);
@@ -482,16 +495,8 @@ bool ServeDaemon::do_checkpoint() {
 }
 
 void ServeDaemon::pump_loop() {
-  const auto cb = [this](const stream::Event& e,
-                         const solver::OnlineDecision& d) {
-    on_decision(e, d);
-  };
   for (;;) {
-    const std::size_t n = pipeline_.pump_decisions(cb);
-    if (n > 0) {
-      events_consumed_.fetch_add(n, std::memory_order_relaxed);
-      consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
-    }
+    const std::size_t n = pump_pipeline();
     const ServeTunables t = tunables();
     const bool has_path = !config_.checkpoint_path.empty();
     if (checkpoint_requested_.exchange(false, std::memory_order_acq_rel)) {
@@ -509,10 +514,7 @@ void ServeDaemon::pump_loop() {
     if (drained) {
       // One confirming pump: everything published before the last reader
       // exited must be consumed before the final checkpoint.
-      const std::size_t tail = pipeline_.pump_decisions(cb);
-      if (tail == 0) break;
-      events_consumed_.fetch_add(tail, std::memory_order_relaxed);
-      consumed_since_checkpoint_.fetch_add(tail, std::memory_order_relaxed);
+      if (pump_pipeline() == 0) break;
       continue;
     }
     std::this_thread::sleep_for(

@@ -18,7 +18,7 @@
 ///     acked immediately; decide requests register a pending token, ride
 ///     the same bus, and are answered later by the pump thread.
 ///   * pump thread — the single pipeline consumer: drains/merges/consumes
-///     in seq order via Pipeline::pump_decisions, routes decide responses
+///     in seq order via Pipeline::pump, routes decide responses
 ///     back by token, feeds the flight recorder, and takes the periodic
 ///     crash-atomic checkpoints.
 ///
@@ -149,16 +149,20 @@ class ServeDaemon {
   void handle_message(const std::shared_ptr<Connection>& conn, Message msg);
   void handle_decide(const std::shared_ptr<Connection>& conn,
                      stream::Event event);
-  /// Pause publishers, pump the queues dry, save crash-atomically, resume.
-  /// Runs on the pump thread only. Returns false when saving failed.
+  /// One Pipeline::pump with on_decision as the callback; counts the
+  /// consumed events. Pump thread only. Returns the events consumed.
+  std::size_t pump_pipeline();
+  /// Pause publishers (pumping until in-flight publishes finish), pump the
+  /// queues dry, save crash-atomically, resume. Runs on the pump thread
+  /// only. Returns false when saving failed.
   bool do_checkpoint();
   void on_decision(const stream::Event& e, const solver::OnlineDecision& d);
   void set_state(DaemonState s);
   [[nodiscard]] ServeTunables tunables() const;
 
   // Publisher-side quiescence gate around bus publishes: checkpoints need
-  // the queues-drained invariant, so the pump pauses the gate, waits out
-  // in-flight publishes, drains, saves, resumes.
+  // the queues-drained invariant, so the pump pauses the gate, pumps until
+  // the in-flight publishes finish, drains, saves, resumes.
   void publish_gate_enter();
   void publish_gate_exit();
 

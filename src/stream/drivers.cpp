@@ -330,13 +330,6 @@ void OnlinePlacerDriver::run_reanchor() {
   }
 }
 
-std::size_t OnlinePlacerDriver::pump(EventBus& bus) {
-  std::vector<Event> batch;
-  bus.drain_all_ordered(batch);
-  for (const Event& e : batch) consume(e);
-  return batch.size();
-}
-
 void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
   const auto& history = shard_history_[shard];
   const auto window = states_[shard].window_points();

@@ -120,9 +120,10 @@ class OnlinePlacerDriver {
                      std::vector<geo::Point> historical_sample,
                      PlacerDriverConfig config);
 
-  /// Consume one drained event (events must arrive in ascending seq order;
-  /// use EventBus::drain_all_ordered or a per-shard merge). Trip ends drive
-  /// the placer; battery telemetry updates the shard watchlist.
+  /// Consume one drained event (events must arrive in ascending seq order,
+  /// as Pipeline's merge delivers them). Trip ends drive the placer;
+  /// battery telemetry updates the shard watchlist. The per-event
+  /// reference consume_batch is tested against.
   /// \returns the placer decision for trip-end events.
   std::optional<solver::OnlineDecision> consume(const Event& e);
 
@@ -141,10 +142,6 @@ class OnlinePlacerDriver {
   std::size_t consume_batch(
       std::span<const Event> events, std::size_t lanes = 1,
       std::vector<solver::OnlineDecision>* decisions_out = nullptr);
-
-  /// Drain every pending event from the bus in publish order and consume
-  /// it. Returns the number of events processed.
-  std::size_t pump(EventBus& bus);
 
   [[nodiscard]] const core::ESharing& system() const { return *system_; }
   [[nodiscard]] const StreamState& shard_state(std::size_t shard) const;

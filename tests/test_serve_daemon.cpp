@@ -1,10 +1,13 @@
 #include "serve/daemon.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -48,6 +51,15 @@ std::vector<stream::Event> trip_ends(std::uint64_t seed, std::size_t count) {
   cfg.area_m = 3000.0;
   cfg.telemetry_every = 0;
   return make_workload(cfg);
+}
+
+/// Bound every blocking socket call of `client` so a hung daemon fails the
+/// test instead of hanging it.
+void set_deadline(const ServeClient& client, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 void wait_for_consumed(ServeClient& client, std::uint64_t want) {
@@ -294,6 +306,39 @@ TEST(ServeDaemon, GracefulShutdownDrainsPublishedEvents) {
   td.daemon->wait();
   EXPECT_EQ(td.daemon->state(), DaemonState::kStopped);
   EXPECT_EQ(td.daemon->status().events_consumed, events.size());
+}
+
+TEST(ServeDaemon, CheckpointGateKeepsPumpingForABlockedPublisher) {
+  // One publish frame 625 times the ring capacity: the reader blocks inside
+  // publish_batch on a full kBlock shard while the pump wants a checkpoint
+  // after every consumed event. The checkpoint's quiescence gate waits for
+  // that in-flight publish, which only finishes if the pump keeps draining.
+  const std::string ckpt = testing::TempDir() + "serve_gate_ckpt.bin";
+  std::remove(ckpt.c_str());
+  ServeConfig cfg;
+  cfg.checkpoint_path = ckpt;
+  cfg.pipeline.bus.queue_capacity = 8;
+  cfg.pipeline.bus.max_batch = 8;
+  cfg.tunables.checkpoint_every_events = 1;
+  auto td = std::make_unique<TestDaemon>(45, cfg);
+  ServeClient client = td->connect();
+  set_deadline(client, 30);
+  const auto events = trip_ends(46, 5000);
+  std::uint64_t acked = 0;
+  try {
+    acked = client.publish(events);
+  } catch (const std::exception& ex) {
+    // A deadlocked daemon can be neither stopped nor destroyed; leave it
+    // behind so the failure is reported instead of hanging the suite.
+    (void)td.release();
+    FAIL() << "no publish ack: " << ex.what();
+  }
+  EXPECT_EQ(acked, events.size());
+  client.shutdown();
+  td->daemon->wait();
+  EXPECT_EQ(td->daemon->status().events_consumed, events.size());
+  EXPECT_GT(td->daemon->status().checkpoints, 0u);
+  std::remove(ckpt.c_str());
 }
 
 TEST(ServeDaemon, ConfigValidationRejectsBadKnobs) {

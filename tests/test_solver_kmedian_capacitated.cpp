@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
-#include "solver/capacitated.h"
 #include "solver/k_median.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
@@ -74,98 +74,6 @@ TEST(KMedian, SwapSearchBeatsBadSeeds) {
   const auto inst = cluster_instance();
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     EXPECT_LT(k_median(inst, 2, seed).connection_cost, 200.0);
-  }
-}
-
-// --- capacitated assignment ----------------------------------------------
-
-TEST(Capacitated, Validates) {
-  EXPECT_THROW((void)assign_capacitated({}, {{{0, 0}, 1.0}}),
-               std::invalid_argument);
-  EXPECT_THROW((void)assign_capacitated({{{0, 0}, 1.0}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)assign_capacitated({{{0, 0}, -1.0}}, {{{0, 0}, 1.0}}),
-      std::invalid_argument);
-}
-
-TEST(Capacitated, UnconstrainedMatchesNearest) {
-  const std::vector<CapacitatedStation> stations{{{0, 0}, 100.0},
-                                                 {{1000, 0}, 100.0}};
-  const std::vector<CapacitatedDemand> demands{{{100, 0}, 2.0},
-                                               {{900, 0}, 3.0}};
-  const auto a = assign_capacitated(stations, demands);
-  EXPECT_TRUE(a.feasible());
-  EXPECT_DOUBLE_EQ(a.walking_cost,
-                   uncapacitated_walking_cost(stations, demands));
-  EXPECT_DOUBLE_EQ(a.walking_cost, 2.0 * 100.0 + 3.0 * 100.0);
-}
-
-TEST(Capacitated, CapacitySqueezePushesDemandToSecondChoice) {
-  // Both demands prefer station 0 but it only fits one unit.
-  const std::vector<CapacitatedStation> stations{{{0, 0}, 1.0},
-                                                 {{1000, 0}, 10.0}};
-  const std::vector<CapacitatedDemand> demands{{{10, 0}, 1.0},
-                                               {{20, 0}, 1.0}};
-  const auto a = assign_capacitated(stations, demands);
-  EXPECT_TRUE(a.feasible());
-  // The demand with the larger regret (closer to 0, farther from 1000)
-  // keeps the scarce slot; exactly one unit travels to station 1.
-  double at_far = 0.0;
-  for (const auto& share : a.shares) {
-    if (share.station == 1) at_far += share.amount;
-  }
-  EXPECT_DOUBLE_EQ(at_far, 1.0);
-  EXPECT_GT(a.walking_cost, uncapacitated_walking_cost(stations, demands));
-}
-
-TEST(Capacitated, DemandSplitsAcrossStations) {
-  const std::vector<CapacitatedStation> stations{{{0, 0}, 2.0},
-                                                 {{100, 0}, 2.0}};
-  const std::vector<CapacitatedDemand> demands{{{50, 0}, 3.0}};
-  const auto a = assign_capacitated(stations, demands);
-  EXPECT_TRUE(a.feasible());
-  EXPECT_EQ(a.shares.size(), 2u);
-  double total = 0.0;
-  for (const auto& share : a.shares) total += share.amount;
-  EXPECT_DOUBLE_EQ(total, 3.0);
-}
-
-TEST(Capacitated, OverflowReportedWhenCapacityShort) {
-  const std::vector<CapacitatedStation> stations{{{0, 0}, 1.5}};
-  const std::vector<CapacitatedDemand> demands{{{10, 0}, 4.0}};
-  const auto a = assign_capacitated(stations, demands);
-  EXPECT_FALSE(a.feasible());
-  EXPECT_DOUBLE_EQ(a.overflow, 2.5);
-}
-
-TEST(Capacitated, ConservationProperty) {
-  stats::Rng rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<CapacitatedStation> stations;
-    std::vector<CapacitatedDemand> demands;
-    double cap_total = 0.0, dem_total = 0.0;
-    for (int s = 0; s < 6; ++s) {
-      const double cap = rng.uniform(0.0, 5.0);
-      stations.push_back({{rng.uniform(0, 1000), rng.uniform(0, 1000)}, cap});
-      cap_total += cap;
-    }
-    for (int d = 0; d < 10; ++d) {
-      const double amt = rng.uniform(0.0, 3.0);
-      demands.push_back({{rng.uniform(0, 1000), rng.uniform(0, 1000)}, amt});
-      dem_total += amt;
-    }
-    const auto a = assign_capacitated(stations, demands);
-    double placed = 0.0;
-    for (const auto& share : a.shares) placed += share.amount;
-    EXPECT_NEAR(placed + a.overflow, dem_total, 1e-9);
-    EXPECT_LE(placed, cap_total + 1e-9);
-    if (a.feasible()) {
-      // Capacities can only worsen walking — but only comparable when all
-      // demand was actually placed.
-      EXPECT_GE(a.walking_cost,
-                uncapacitated_walking_cost(stations, demands) - 1e-9);
-    }
   }
 }
 

@@ -16,7 +16,7 @@
 #include "stats/spatial.h"
 #include "stream/drivers.h"
 #include "stream/event_bus.h"
-#include "stream/replay.h"
+#include "stream/pipeline.h"
 
 namespace esharing::stream {
 namespace {
@@ -56,22 +56,33 @@ PlacerDriverConfig driver_config() {
   return cfg;
 }
 
-/// One complete streaming pipeline: system, bus, drivers — built
-/// identically for a given seed so runs are comparable.
-struct Pipeline {
-  core::ESharing system;
-  std::vector<Point> sample;
-  EventBus bus;
-  OnlinePlacerDriver placer_driver;
-  IncentiveDriver incentive_driver;
+PipelineConfig pipeline_config(std::size_t shards,
+                               const PlacerDriverConfig& dcfg) {
+  PipelineConfig cfg;
+  cfg.bus = bus_config(shards);
+  cfg.placer = dcfg;
+  cfg.lanes = 1;
+  return cfg;
+}
 
-  explicit Pipeline(std::uint64_t seed, std::size_t shards = 4,
-                    const PlacerDriverConfig& dcfg = driver_config())
+/// One complete streaming pipeline over its own system, built identically
+/// for a given seed so runs are comparable. The bus and drivers are the
+/// pipeline's own, named for the checkpoint.h calls under test.
+struct Rig {
+  core::ESharing system;
+  stream::Pipeline pipeline;
+  EventBus& bus;
+  OnlinePlacerDriver& placer_driver;
+  IncentiveDriver& incentive_driver;
+
+  explicit Rig(std::uint64_t seed, std::size_t shards = 4,
+               const PlacerDriverConfig& dcfg = driver_config())
       : system(system_config(), seed),
-        sample(make_sample(seed)),
-        bus(bus_config(shards)),
-        placer_driver(start(system, seed), bus, sample, dcfg),
-        incentive_driver(IncentiveDriverConfig{}) {}
+        pipeline(start(system, seed), make_sample(seed),
+                 pipeline_config(shards, dcfg)),
+        bus(pipeline.bus()),
+        placer_driver(pipeline.placer_driver()),
+        incentive_driver(pipeline.incentive_driver()) {}
 
   static std::vector<Point> make_sample(std::uint64_t seed) {
     stats::Rng rng(seed);
@@ -130,16 +141,16 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
   const std::vector<Event> second(log.begin() + 150, log.end());
 
   // Pipeline A runs uninterrupted; checkpoint taken at the halfway mark.
-  Pipeline a(9);
-  (void)replay_log(a.bus, a.placer_driver, first);
+  Rig a(9);
+  (void)a.pipeline.replay(first);
   a.incentive_driver.open_session(a.system.parking_locations(),
                                   a.placer_driver.watchlist());
   std::ostringstream blob;
   save_checkpoint(blob, a.bus, a.placer_driver, a.incentive_driver);
-  const auto tail_a = replay_log(a.bus, a.placer_driver, second);
+  const auto tail_a = a.pipeline.replay(second);
 
   // Pipeline B is a fresh process restored from the blob.
-  Pipeline b(9);
+  Rig b(9);
   std::istringstream in(blob.str());
   const CheckpointInfo info = restore_checkpoint(
       in, b.bus, b.system, b.placer_driver, b.incentive_driver);
@@ -148,7 +159,7 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
   EXPECT_EQ(info.events_consumed, first.size());
   EXPECT_EQ(info.last_seq, first.size() - 1);
   EXPECT_TRUE(b.incentive_driver.session_open());
-  const auto tail_b = replay_log(b.bus, b.placer_driver, second);
+  const auto tail_b = b.pipeline.replay(second);
 
   // The resumed run reproduces the uninterrupted one decision for decision.
   expect_same_decisions(tail_a.decisions, tail_b.decisions);
@@ -207,7 +218,7 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
 }
 
 TEST(StreamCheckpoint, SaveRequiresDrainedQueues) {
-  Pipeline p(3);
+  Rig p(3);
   Event e;
   e.kind = EventKind::kTripEnd;
   e.where = {10, 10};
@@ -217,13 +228,13 @@ TEST(StreamCheckpoint, SaveRequiresDrainedQueues) {
       save_checkpoint(blob, p.bus, p.placer_driver, p.incentive_driver),
       std::logic_error);
   // Draining and consuming clears the objection.
-  (void)p.placer_driver.pump(p.bus);
+  (void)p.pipeline.pump();
   EXPECT_NO_THROW(
       save_checkpoint(blob, p.bus, p.placer_driver, p.incentive_driver));
 }
 
 TEST(StreamCheckpoint, RestoreRejectsForeignOrCorruptBlobs) {
-  Pipeline p(3);
+  Rig p(3);
 
   {  // Not a checkpoint at all.
     std::istringstream junk("definitely not a checkpoint blob");
@@ -252,12 +263,12 @@ TEST(StreamCheckpoint, RestoreRejectsForeignOrCorruptBlobs) {
 }
 
 TEST(StreamCheckpoint, RestoreRejectsMismatchedBusFingerprint) {
-  Pipeline four(3, 4);
+  Rig four(3, 4);
   std::ostringstream blob;
   save_checkpoint(blob, four.bus, four.placer_driver, four.incentive_driver);
 
   {  // Different shard count: shard ownership would not line up.
-    Pipeline two(3, 2);
+    Rig two(3, 2);
     std::istringstream is(blob.str());
     EXPECT_THROW(
         (void)restore_checkpoint(is, two.bus, two.system, two.placer_driver,
@@ -266,11 +277,11 @@ TEST(StreamCheckpoint, RestoreRejectsMismatchedBusFingerprint) {
   }
   {  // Same shard count but different routing cell: same problem.
     core::ESharing system(system_config(), 3);
-    Pipeline::start(system, 3);
+    Rig::start(system, 3);
     auto cfg = bus_config(4);
     cfg.route_cell_m = 250.0;
     EventBus bus(cfg);
-    OnlinePlacerDriver driver(system, bus, Pipeline::make_sample(3),
+    OnlinePlacerDriver driver(system, bus, Rig::make_sample(3),
                               driver_config());
     IncentiveDriver incentives{IncentiveDriverConfig{}};
     std::istringstream is(blob.str());
@@ -279,9 +290,9 @@ TEST(StreamCheckpoint, RestoreRejectsMismatchedBusFingerprint) {
         std::runtime_error);
   }
   {  // Wiring error: `system` is not the driver's system.
-    Pipeline other(3, 4);
+    Rig other(3, 4);
     core::ESharing stranger(system_config(), 3);
-    Pipeline::start(stranger, 3);
+    Rig::start(stranger, 3);
     std::istringstream is(blob.str());
     EXPECT_THROW(
         (void)restore_checkpoint(is, other.bus, stranger, other.placer_driver,
@@ -294,11 +305,11 @@ TEST(StreamCheckpoint, FileWrappersRoundTrip) {
   const std::string path = testing::TempDir() + "esharing_stream_ckpt.bin";
   const auto log = mixed_log(8, 100);
 
-  Pipeline a(21);
-  (void)replay_log(a.bus, a.placer_driver, log);
+  Rig a(21);
+  (void)a.pipeline.replay(log);
   save_checkpoint_file(path, a.bus, a.placer_driver, a.incentive_driver);
 
-  Pipeline b(21);
+  Rig b(21);
   const CheckpointInfo info = restore_checkpoint_file(
       path, b.bus, b.system, b.placer_driver, b.incentive_driver);
   EXPECT_EQ(info.events_consumed, log.size());
@@ -308,7 +319,7 @@ TEST(StreamCheckpoint, FileWrappersRoundTrip) {
   }
   std::remove(path.c_str());
 
-  Pipeline c(21);
+  Rig c(21);
   EXPECT_THROW(
       (void)restore_checkpoint_file("/nonexistent/dir/ckpt.bin", c.bus,
                                     c.system, c.placer_driver,
@@ -320,8 +331,8 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
   const std::string path = testing::TempDir() + "esharing_atomic_ckpt.bin";
   const auto log = mixed_log(8, 100);
 
-  Pipeline a(29);
-  (void)replay_log(a.bus, a.placer_driver, log);
+  Rig a(29);
+  (void)a.pipeline.replay(log);
   save_checkpoint_file(path, a.bus, a.placer_driver, a.incentive_driver);
   // The tmp staging file must be gone after a successful save (renamed
   // onto the target), never left beside it.
@@ -345,7 +356,7 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
-  Pipeline b(29);
+  Rig b(29);
   EXPECT_THROW((void)restore_checkpoint_file(path, b.bus, b.system,
                                              b.placer_driver,
                                              b.incentive_driver),
@@ -357,7 +368,7 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  Pipeline c(29);
+  Rig c(29);
   const CheckpointInfo info = restore_checkpoint_file(
       path, c.bus, c.system, c.placer_driver, c.incentive_driver);
   EXPECT_EQ(info.events_consumed, log.size());
@@ -410,8 +421,8 @@ TEST(StreamForecastRefresh, ConfigValidatesForecastKnobs) {
 
 TEST(StreamForecastRefresh, FiresOnceEnoughHoursAccumulate) {
   const auto log = hourly_log(17, 400);
-  Pipeline p(17, 4, forecast_driver_config());
-  (void)replay_log(p.bus, p.placer_driver, log);
+  Rig p(17, 4, forecast_driver_config());
+  (void)p.pipeline.replay(log);
   EXPECT_GT(p.placer_driver.reanchors(), 0u);
   EXPECT_GT(p.placer_driver.forecast_refreshes(), 0u);
   EXPECT_LE(p.placer_driver.forecast_refreshes(), p.placer_driver.reanchors());
@@ -419,8 +430,8 @@ TEST(StreamForecastRefresh, FiresOnceEnoughHoursAccumulate) {
 
 TEST(StreamForecastRefresh, ShardCountInvariant) {
   const auto log = hourly_log(21, 400);
-  Pipeline one(21, 1, forecast_driver_config());
-  Pipeline four(21, 4, forecast_driver_config());
+  Rig one(21, 1, forecast_driver_config());
+  Rig four(21, 4, forecast_driver_config());
   std::vector<solver::OnlineDecision> da, db;
   for (const Event& e : log) {
     auto d = one.placer_driver.consume(e);
@@ -439,7 +450,7 @@ TEST(StreamForecastRefresh, CheckpointRoundTripContinuesBitIdentically) {
   const std::size_t half = log.size() / 2;
 
   // Uninterrupted reference run.
-  Pipeline ref(33, 4, forecast_driver_config());
+  Rig ref(33, 4, forecast_driver_config());
   std::vector<solver::OnlineDecision> ref_decisions;
   for (const Event& e : log) {
     auto d = ref.placer_driver.consume(e);
@@ -448,7 +459,7 @@ TEST(StreamForecastRefresh, CheckpointRoundTripContinuesBitIdentically) {
 
   // Run to the halfway point, checkpoint the driver, restore into a fresh
   // pipeline, and continue — the forecast accumulator must ride along.
-  Pipeline a(33, 4, forecast_driver_config());
+  Rig a(33, 4, forecast_driver_config());
   std::vector<solver::OnlineDecision> decisions;
   for (std::size_t i = 0; i < half; ++i) {
     auto d = a.placer_driver.consume(log[i]);
@@ -457,7 +468,7 @@ TEST(StreamForecastRefresh, CheckpointRoundTripContinuesBitIdentically) {
   std::stringstream blob;
   save_checkpoint(blob, a.bus, a.placer_driver, a.incentive_driver);
 
-  Pipeline b(33, 4, forecast_driver_config());
+  Rig b(33, 4, forecast_driver_config());
   restore_checkpoint(blob, b.bus, b.system, b.placer_driver,
                      b.incentive_driver);
   EXPECT_EQ(b.placer_driver.forecast_refreshes(),

@@ -7,19 +7,18 @@
 ///     and checkpoint bytes across (shards 1/4/8 × pool widths 1/2/8),
 ///     with regime checks and re-anchoring enabled.
 ///   * StreamPipelineFacade — the unified config/facade: validation
-///     propagation, transport vs serving modes, replay equivalence with
-///     replay_log, checkpoint round-trips, merge-stall accounting.
+///     propagation, the pump's (event, decision) hand-over in seq order,
+///     checkpoint round-trips, merge-stall accounting.
 ///   * StreamPeacockFix — the 8-shard cliff: the stream default never
 ///     takes the O((n+m)^3) exact Peacock path, and neither the FF-only
 ///     default nor the stratified sample budget changes decisions or KS
 ///     verdicts.
 ///   * StreamLaneHammer — TSan target: concurrent batch publishers against
-///     parallel lane drains on a small kBlock bus.
+///     a pump running parallel lane drains on a small kBlock bus.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -32,7 +31,6 @@
 #include "stats/rng.h"
 #include "stats/spatial.h"
 #include "stream/pipeline.h"
-#include "stream/replay.h"
 
 namespace esharing::stream {
 namespace {
@@ -142,17 +140,27 @@ TEST(StreamBatchPublish, MatchesPerEventPublishExactly) {
   for (const Event& e : log) ASSERT_TRUE(one_by_one.publish(e));
   EXPECT_EQ(batched.publish_batch(log), log.size());
 
-  std::vector<Event> a;
-  std::vector<Event> b;
-  EXPECT_EQ(one_by_one.drain_all_ordered(a), log.size());
-  EXPECT_EQ(batched.drain_all_ordered(b), log.size());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].seq, b[i].seq) << "event " << i;
-    EXPECT_DOUBLE_EQ(a[i].where.x, b[i].where.x) << "event " << i;
-    EXPECT_DOUBLE_EQ(a[i].where.y, b[i].where.y) << "event " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
+  // Every shard's ring holds the same events in the same order.
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < cfg.shard_count; ++s) {
+    std::vector<Event> a;
+    std::vector<Event> b;
+    while (one_by_one.drain(s, a) > 0) {
+    }
+    while (batched.drain(s, b) > 0) {
+    }
+    ASSERT_EQ(a.size(), b.size()) << "shard " << s;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].seq, b[i].seq) << "shard " << s << " event " << i;
+      EXPECT_DOUBLE_EQ(a[i].where.x, b[i].where.x)
+          << "shard " << s << " event " << i;
+      EXPECT_DOUBLE_EQ(a[i].where.y, b[i].where.y)
+          << "shard " << s << " event " << i;
+      EXPECT_EQ(a[i].kind, b[i].kind) << "shard " << s << " event " << i;
+    }
+    total += a.size();
   }
+  EXPECT_EQ(total, log.size());
   EXPECT_EQ(one_by_one.stats().published, batched.stats().published);
   EXPECT_EQ(batched.next_seq(), log.size());
 }
@@ -316,10 +324,16 @@ TEST(StreamParallelMatrix, ConsumeBatchMatchesPerEventConsume) {
   OnlinePlacerDriver per_event(a.system, bus_a, a.sample, cfg);
   OnlinePlacerDriver batched(b.system, bus_b, b.sample, cfg);
 
-  // Stamp one shared seq order through bus A, consume it both ways.
-  ASSERT_EQ(bus_a.publish_batch(log), log.size());
+  // Stamp one shared seq order through a one-shard bus (its single FIFO
+  // ring is publish order), consume it both ways.
+  EventBusConfig stamp_cfg;
+  stamp_cfg.queue_capacity = 1024;
+  EventBus stamper(stamp_cfg);
+  ASSERT_EQ(stamper.publish_batch(log), log.size());
   std::vector<Event> stamped;
-  bus_a.drain_all_ordered(stamped);
+  while (stamper.drain(0, stamped) > 0) {
+  }
+  ASSERT_EQ(stamped.size(), log.size());
 
   std::vector<solver::OnlineDecision> one_by_one;
   for (const Event& e : stamped) {
@@ -356,45 +370,62 @@ TEST(StreamParallelMatrix, ConsumeBatchMatchesPerEventConsume) {
 TEST(StreamPipelineFacade, ValidatesEveryNestedConfig) {
   PipelineConfig bad_bus;
   bad_bus.bus.shard_count = 0;
-  EXPECT_THROW(Pipeline{bad_bus}, std::invalid_argument);
+  EXPECT_THROW(bad_bus.validate(), std::invalid_argument);
 
   PipelineConfig bad_placer;
   bad_placer.placer.ks_sample_budget = 2;
-  EXPECT_THROW(Pipeline{bad_placer}, std::invalid_argument);
+  EXPECT_THROW(bad_placer.validate(), std::invalid_argument);
 
   PipelineConfig bad_incentive;
   bad_incentive.incentive.assign_radius_m = 0.0;
-  EXPECT_THROW(Pipeline{bad_incentive}, std::invalid_argument);
+  EXPECT_THROW(bad_incentive.validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(PipelineConfig{}.validate());
+
+  // The constructor validates before it builds anything.
+  OnlineSystem sys(3);
+  EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_bus),
+               std::invalid_argument);
 }
 
-TEST(StreamPipelineFacade, TransportModeGuardsTheServingSurface) {
-  PipelineConfig cfg;
-  cfg.bus.shard_count = 2;
-  Pipeline pipeline(cfg);
-  EXPECT_FALSE(pipeline.serving());
-  EXPECT_THROW((void)pipeline.placer_driver(), std::logic_error);
-  EXPECT_THROW((void)pipeline.incentive_driver(), std::logic_error);
-  EXPECT_THROW((void)pipeline.pump(), std::logic_error);
-  EXPECT_THROW((void)pipeline.replay({}), std::logic_error);
-  std::ostringstream blob;
-  EXPECT_THROW(pipeline.save_checkpoint(blob), std::logic_error);
-
-  // pump_into delivers merged seq order.
+TEST(StreamPipelineFacade, PumpHandsOverTripEndsInSeqOrder) {
   const auto log = mixed_log(21, 90);
-  EXPECT_EQ(pipeline.publish_batch(log), log.size());
+  PipelineConfig cfg;
+  cfg.bus.shard_count = 4;
+  cfg.lanes = 2;
+
+  OnlineSystem sys_a(61);
+  Pipeline a(sys_a.system, sys_a.sample, cfg);
+  EXPECT_EQ(a.publish_batch(log), log.size());
   std::vector<std::uint64_t> seqs;
-  EXPECT_EQ(pipeline.pump_into([&](const Event& e) { seqs.push_back(e.seq); }),
+  std::vector<solver::OnlineDecision> handed;
+  EXPECT_EQ(a.pump([&](const Event& e, const solver::OnlineDecision& d) {
+              EXPECT_EQ(e.kind, EventKind::kTripEnd);
+              seqs.push_back(e.seq);
+              handed.push_back(d);
+            }),
             log.size());
-  ASSERT_EQ(seqs.size(), log.size());
-  for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
-  const auto stats = pipeline.stats();
+
+  // One callback per trip end, in merged publish order.
+  std::vector<std::uint64_t> want;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log[i].kind == EventKind::kTripEnd) want.push_back(i);
+  }
+  EXPECT_EQ(seqs, want);
+  const auto stats = a.stats();
   EXPECT_EQ(stats.merged_events, log.size());
   EXPECT_EQ(stats.lane_events, log.size());
   EXPECT_EQ(stats.merge_stalls, 0u);
   EXPECT_GT(stats.pump_rounds, 0u);
   EXPECT_GT(stats.lane_occupancy, 0.0);
+
+  // The vector adapter hands back the same decisions.
+  OnlineSystem sys_b(61);
+  Pipeline b(sys_b.system, sys_b.sample, cfg);
+  EXPECT_EQ(b.publish_batch(log), log.size());
+  std::vector<solver::OnlineDecision> collected;
+  EXPECT_EQ(b.pump(&collected), log.size());
+  expect_same_decisions(handed, collected);
 }
 
 TEST(StreamPipelineFacade, MergeStallsCountSeqGaps) {
@@ -403,49 +434,20 @@ TEST(StreamPipelineFacade, MergeStallsCountSeqGaps) {
   cfg.bus.queue_capacity = 8;
   cfg.bus.max_batch = 8;
   cfg.bus.policy = BackpressurePolicy::kReject;
-  Pipeline pipeline(cfg);
+  OnlineSystem sys(8);
+  Pipeline pipeline(sys.system, sys.sample, cfg);
   const auto log = mixed_log(8, 20);
 
   // 8 accepted, the rest shed: their seqs are consumed but never arrive.
   EXPECT_EQ(pipeline.publish_batch(log), 8u);
-  EXPECT_EQ(pipeline.pump_into([](const Event&) {}), 8u);
+  EXPECT_EQ(pipeline.pump(), 8u);
   EXPECT_EQ(pipeline.stats().merge_stalls, 0u);
 
   // The next accepted event starts past the shed range — one gap.
   EXPECT_EQ(pipeline.publish_batch(std::span<const Event>(log).subspan(0, 2)),
             2u);
-  EXPECT_EQ(pipeline.pump_into([](const Event&) {}), 2u);
+  EXPECT_EQ(pipeline.pump(), 2u);
   EXPECT_EQ(pipeline.stats().merge_stalls, 1u);
-}
-
-TEST(StreamPipelineFacade, ReplayMatchesReplayLogBitForBit) {
-  const auto log = mixed_log(63, 300);
-
-  OnlineSystem manual(53);
-  EventBusConfig bus_cfg;
-  bus_cfg.shard_count = 4;
-  bus_cfg.queue_capacity = 64;
-  bus_cfg.max_batch = 32;
-  EventBus bus(bus_cfg);
-  PlacerDriverConfig driver_cfg;
-  driver_cfg.regime_check_period = 16;
-  driver_cfg.regime_min_samples = 8;
-  OnlinePlacerDriver driver(manual.system, bus, manual.sample, driver_cfg);
-  const auto expected = replay_log(bus, driver, log);
-
-  OnlineSystem facade(53);
-  PipelineConfig cfg;
-  cfg.bus = bus_cfg;
-  cfg.placer = driver_cfg;
-  cfg.lanes = 2;
-  Pipeline pipeline(facade.system, facade.sample, cfg);
-  const auto got = pipeline.replay(log);
-
-  EXPECT_EQ(got.published, expected.published);
-  EXPECT_EQ(got.consumed, expected.consumed);
-  expect_same_decisions(expected.decisions, got.decisions);
-  expect_same_stations(manual.system.placer().active_locations(),
-                       facade.system.placer().active_locations());
 }
 
 TEST(StreamPipelineFacade, CheckpointRoundTripContinuesBitIdentically) {
@@ -579,15 +581,18 @@ TEST(StreamPeacockFix, StratifiedSampleIsDeterministicAndOrdered) {
 
 TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
   // TSan target: 4 producer threads batch-publish onto a tiny kBlock bus
-  // (so they block on backpressure) while the consumer runs parallel lane
-  // drains. Conservation is exact: nothing lost, nothing duplicated.
+  // (so they block on backpressure) while the consumer pumps with parallel
+  // lane drains. Conservation is exact: nothing lost, nothing duplicated.
+  // The target is publish-vs-drain concurrency, so the KS check is off.
   const ScopedThreads threads(4);
   PipelineConfig cfg;
   cfg.bus.shard_count = 4;
   cfg.bus.queue_capacity = 32;
   cfg.bus.max_batch = 16;
+  cfg.placer.regime_check_period = 0;
   cfg.lanes = 0;
-  Pipeline pipeline(cfg);
+  OnlineSystem sys(71);
+  Pipeline pipeline(sys.system, sys.sample, cfg);
 
   constexpr std::size_t kPublishers = 4;
   constexpr std::size_t kPerPublisher = 600;
@@ -614,18 +619,17 @@ TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
   }
 
   constexpr std::size_t kExpected = kPublishers * kPerPublisher;
-  std::atomic<std::size_t> seen{0};
+  std::size_t seen = 0;  // trip ends handed over; every event is one
+  const auto count = [&seen](const Event&, const solver::OnlineDecision&) {
+    ++seen;
+  };
   std::size_t consumed = 0;
-  while (consumed < kExpected) {
-    consumed += pipeline.pump_into(
-        [&seen](const Event&) { seen.fetch_add(1, std::memory_order_relaxed); });
-  }
+  while (consumed < kExpected) consumed += pipeline.pump(count);
   for (auto& publisher : publishers) publisher.join();
-  consumed += pipeline.pump_into(
-      [&seen](const Event&) { seen.fetch_add(1, std::memory_order_relaxed); });
+  consumed += pipeline.pump(count);
 
   EXPECT_EQ(consumed, kExpected);
-  EXPECT_EQ(seen.load(), kExpected);
+  EXPECT_EQ(seen, kExpected);
   EXPECT_EQ(pipeline.bus().pending_total(), 0u);
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.bus.published, kExpected);
