@@ -1,6 +1,7 @@
 /// Micro-benchmarks (google-benchmark) of the computational kernels: the
 /// JMS offline solver (the paper's O(N^3) Algorithm 1), the two KS-test
-/// variants (Peacock O(n^3)-family vs Fasano-Franceschini O(n^2)), the
+/// variants (Peacock O(n^2 log n) vs the Fasano-Franceschini O(n log n)
+/// sweep, next to its frozen O(n^2) per-origin scan), the
 /// online placers' per-request latency, TSP routing and one LSTM training
 /// sample. These establish that the online path is micro-second scale per
 /// request, i.e. deployable on a live request stream.
@@ -106,7 +107,18 @@ void BM_FasanoFranceschiniKs(benchmark::State& state) {
     benchmark::DoNotOptimize(stats::fasano_franceschini_statistic(a, b));
   }
 }
-BENCHMARK(BM_FasanoFranceschiniKs)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK(BM_FasanoFranceschiniKs)
+    ->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(2000)->Arg(4000);
+
+void BM_FasanoFranceschiniKsReference(benchmark::State& state) {
+  const auto a = points(static_cast<std::size_t>(state.range(0)), 2);
+  const auto b = points(static_cast<std::size_t>(state.range(0)), 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::reference::fasano_franceschini_scan(a, b));
+  }
+}
+BENCHMARK(BM_FasanoFranceschiniKsReference)
+    ->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(2000)->Arg(4000);
 
 void BM_MeyersonPerRequest(benchmark::State& state) {
   const auto pts = points(100000, 4);

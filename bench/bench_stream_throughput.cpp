@@ -3,22 +3,21 @@
 /// trip-event log is replayed through a stream::Pipeline at increasing
 /// shard counts and the end-to-end event rate is measured.
 ///
-/// The dominant recurring cost of the serving path is the 2-D KS regime
-/// check (Algorithm 2 step 9): Fasano–Franceschini is O(n*m + n^2 + m^2) in
-/// the window size n and reference size m. Sharding routes each grid cell
-/// to exactly one shard, so both the shard window and the shard's slice of
-/// the historical reference hold ~1/S of the points — every check gets
-/// ~S^2 cheaper while the checked coverage stays identical (the stratified
-/// analogue of the paper's Table IV per-region blocks). The speedup below
-/// is therefore algorithmic, not parallelism: the replay runs with
-/// lanes = 1 and the numbers hold on a single core (bench_stream_metro
-/// covers the parallel lanes).
+/// The recurring cost of the serving path is the 2-D KS regime check
+/// (Algorithm 2 step 9). Sharding routes each grid cell to exactly one
+/// shard, so both the shard window and the shard's slice of the historical
+/// reference hold ~1/S of the points while the checked coverage stays
+/// identical (the stratified analogue of the paper's Table IV per-region
+/// blocks). With the O(n log n) Fasano–Franceschini sweep a check over
+/// ~1/S of the points costs about 1/S as much, so sharding no longer buys
+/// the ~S^2 per-check saving the old quadratic scan did. The replay runs
+/// with lanes = 1 (bench_stream_metro covers the parallel lanes).
 ///
 /// Two sweeps are printed: the legacy exact-KS configuration
-/// (ks_peacock_limit = 400, the pre-fix default) that pays the O((n+m)^3)
-/// Peacock path once shard windows shrink below the limit — the "8-shard
-/// cliff" — and the current default (always Fasano–Franeschini), which
-/// restores monotone scaling.
+/// (ks_peacock_limit = 400, the pre-fix default) that pays the
+/// O((n+m)^2 log(n+m)) Peacock path once shard windows shrink below the
+/// limit — the "8-shard cliff" — and the current default (always the
+/// O((n+m) log(n+m)) Fasano–Franceschini sweep), which has no cliff.
 
 #include <chrono>
 #include <cstdint>
@@ -164,12 +163,11 @@ int main() {
         0, log, history);
 
   std::cout << "Each grid cell lives in exactly one shard, so shard "
-               "windows and reference\nslices hold ~1/S of the points: the "
-               "O(n^2) Fasano-Franceschini check gets\n~S^2 cheaper per "
-               "shard while total coverage is unchanged. The legacy table\n"
-               "shows the 8-shard cliff: windows below the exact-KS limit "
-               "trip the\nO((n+m)^3) Peacock path; the default keeps "
-               "Fasano-Franceschini at every\nsize and scaling stays "
-               "monotone.\n";
+               "windows and reference\nslices hold ~1/S of the points while "
+               "total coverage is unchanged. The legacy\ntable shows the "
+               "8-shard cliff: windows below the exact-KS limit trip the\n"
+               "O((n+m)^2 log(n+m)) Peacock path; the default keeps the "
+               "O((n+m) log(n+m))\nFasano-Franceschini sweep at every "
+               "size.\n";
   return 0;
 }

@@ -433,14 +433,23 @@ void ServeDaemon::on_decision(const stream::Event& e,
 }
 
 std::size_t ServeDaemon::pump_pipeline() {
+  // Count each round's events before the round's first reply goes out, so
+  // a kStatus sent after a reply always sees that reply's event consumed.
+  std::uint64_t counted = pipeline_.merged_events();
+  const auto count_merged = [&] {
+    const std::uint64_t merged = pipeline_.merged_events();
+    if (merged == counted) return;
+    events_consumed_.fetch_add(merged - counted, std::memory_order_relaxed);
+    consumed_since_checkpoint_.fetch_add(merged - counted,
+                                         std::memory_order_relaxed);
+    counted = merged;
+  };
   const std::size_t n = pipeline_.pump(
-      [this](const stream::Event& e, const solver::OnlineDecision& d) {
+      [&](const stream::Event& e, const solver::OnlineDecision& d) {
+        count_merged();
         on_decision(e, d);
       });
-  if (n > 0) {
-    events_consumed_.fetch_add(n, std::memory_order_relaxed);
-    consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
-  }
+  count_merged();  // rounds that held no trip end
   return n;
 }
 

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -51,6 +52,14 @@ void write_event(std::ostream& os, const stream::Event& e) {
   e.user_max_walk_m = wire::read_f64(is);
   e.user_min_reward = wire::read_f64(is);
   e.ref = wire::read_i64(is);
+  // Coordinates feed SpatialIndex's floor(v / cell) -> int64 cast, which
+  // is undefined for NaN and +-inf.
+  for (const double v : {e.where.x, e.where.y, e.origin.x, e.origin.y}) {
+    if (!std::isfinite(v)) {
+      throw std::runtime_error(
+          "serve protocol: non-finite event coordinate " + std::to_string(v));
+    }
+  }
   return e;
 }
 

@@ -146,11 +146,82 @@ double peacock_statistic(const std::vector<Point>& a,
 double fasano_franceschini_statistic(const std::vector<Point>& a,
                                      const std::vector<Point>& b) {
   require_samples(a, b, "fasano_franceschini_statistic");
+  // Offline dominance counting: the same three integer counts per origin as
+  // the per-origin scan (reference::fasano_franceschini_scan), so
+  // origin_diff sees the same inputs and D is bit-identical. Pool index i <
+  // n is a[i], otherwise b[i - n]. Serial: callers parallelise across
+  // shards, and each check is O(N log N) in N = n + m.
+  const std::size_t n = a.size();
+  const std::size_t total = n + b.size();
+  const auto at = [&](std::size_t i) { return i < n ? a[i] : b[i - n]; };
+
+  // Dense 1-based ranks; tied values (including -0.0 == 0.0) share a rank
+  // and NaN gets rank 0, which is <= nothing — the scan's `<=` semantics.
+  struct Keyed {
+    double v;
+    std::size_t i;
+  };
+  std::vector<Keyed> by_x, by_y;
+  by_x.reserve(total);
+  by_y.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const Point p = at(i);
+    if (!std::isnan(p.x)) by_x.push_back({p.x, i});
+    if (!std::isnan(p.y)) by_y.push_back({p.y, i});
+  }
+  const auto less = [](const Keyed& l, const Keyed& r) { return l.v < r.v; };
+  std::sort(by_x.begin(), by_x.end(), less);
+  std::sort(by_y.begin(), by_y.end(), less);
+
+  // y-ranks, and per-sample counts #(y <= Y) by rank.
+  std::vector<std::size_t> y_rank(total, 0);
+  std::vector<std::size_t> below_a(1, 0), below_b(1, 0);
+  for (std::size_t k = 0; k < by_y.size(); ++k) {
+    if (k == 0 || by_y[k].v != by_y[k - 1].v) {
+      below_a.push_back(below_a.back());
+      below_b.push_back(below_b.back());
+    }
+    y_rank[by_y[k].i] = below_a.size() - 1;
+    ++(by_y[k].i < n ? below_a : below_b).back();
+  }
+
+  Fenwick fa(below_a.size()), fb(below_b.size());  // #(x <= X, y <= Y)
+  std::size_t left_a = 0, left_b = 0;               // #(x <= X)
+  double best_a = 0.0, best_b = 0.0;
+  const auto visit = [&](std::size_t i) {
+    const std::size_t yr = y_rank[i];
+    const std::size_t a_ll = yr == 0 ? 0 : fa.prefix(yr - 1);
+    const std::size_t b_ll = yr == 0 ? 0 : fb.prefix(yr - 1);
+    double& best = i < n ? best_a : best_b;
+    best = std::max(best, origin_diff(a_ll, left_a, below_a[yr], n, b_ll,
+                                      left_b, below_b[yr], b.size()));
+  };
+  // NaN-x origins have nothing to their left.
+  for (std::size_t i = 0; i < total; ++i) {
+    if (std::isnan(at(i).x)) visit(i);
+  }
+  // Insert a whole x tie group before querying any origin in it.
+  for (std::size_t lo = 0, hi = 0; lo < by_x.size(); lo = hi) {
+    while (hi < by_x.size() && by_x[hi].v == by_x[lo].v) {
+      const std::size_t i = by_x[hi].i;
+      if (y_rank[i] > 0) (i < n ? fa : fb).add(y_rank[i] - 1);
+      ++(i < n ? left_a : left_b);
+      ++hi;
+    }
+    for (std::size_t k = lo; k < hi; ++k) visit(by_x[k].i);
+  }
+  return (best_a + best_b) / 2.0;
+}
+
+namespace reference {
+
+double fasano_franceschini_scan(const std::vector<Point>& a,
+                                const std::vector<Point>& b) {
+  require_samples(a, b, "fasano_franceschini_scan");
   // Origins are independent and the reduction is an exact max (the same
   // double wins under any partition), so the per-origin scans fan out on
-  // the exec pool — this is the quadratic path the stream drivers hit on
-  // every per-shard regime check. Each origin costs O(|a|+|b|), so a small
-  // fixed grain load-balances without claim overhead.
+  // the exec pool. Each origin costs O(|a|+|b|), so a small fixed grain
+  // load-balances without claim overhead.
   const auto max_over = [&](const std::vector<Point>& origins) {
     return exec::parallel_reduce<double>(
         origins.size(), /*grain=*/16, 0.0,
@@ -169,6 +240,8 @@ double fasano_franceschini_statistic(const std::vector<Point>& a,
   };
   return (max_over(a) + max_over(b)) / 2.0;
 }
+
+}  // namespace reference
 
 double ks_tail_probability(double lambda) {
   if (lambda <= 0.0) return 1.0;

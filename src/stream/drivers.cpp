@@ -70,14 +70,6 @@ void PlacerDriverConfig::validate() const {
         "re-anchor needs at least one demand cell to build an instance "
         "from (set reanchor_period = 0 to disable re-anchoring instead)");
   }
-  if (ks_sample_budget > 0 && ks_sample_budget < 4) {
-    throw std::invalid_argument(
-        "PlacerDriverConfig: ks_sample_budget = " +
-        std::to_string(ks_sample_budget) +
-        " is invalid: a 2-D KS statistic over fewer than 4 points per side "
-        "is meaningless (set ks_sample_budget = 0 to disable subsampling "
-        "instead)");
-  }
   if (forecast_history_hours > 0) {
     forecast_rnn.validate();
     if (forecast_history_hours < forecast_rnn.lookback + 2) {
@@ -90,19 +82,6 @@ void PlacerDriverConfig::validate() const {
           "disable forecast refreshes instead)");
     }
   }
-}
-
-std::vector<Point> ks_stratified_sample(const std::vector<Point>& points,
-                                        std::size_t budget) {
-  const std::size_t n = points.size();
-  if (budget == 0 || n <= budget) return points;
-  std::vector<Point> sample;
-  sample.reserve(budget);
-  for (std::size_t j = 0; j < budget; ++j) {
-    // Midpoint of stratum j of `budget` equal time slices.
-    sample.push_back(points[(2 * j + 1) * n / (2 * budget)]);
-  }
-  return sample;
 }
 
 OnlinePlacerDriver::OnlinePlacerDriver(core::ESharing& system,
@@ -334,21 +313,8 @@ void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
   const auto& history = shard_history_[shard];
   const auto window = states_[shard].window_points();
   if (history.empty() || window.size() < config_.regime_min_samples) return;
-  // Subsample only when over budget so the common case stays copy-free.
-  const std::size_t budget = config_.ks_sample_budget;
-  const std::vector<Point>* href = &history;
-  const std::vector<Point>* wref = &window;
-  std::vector<Point> hbuf;
-  std::vector<Point> wbuf;
-  if (budget > 0 && history.size() > budget) {
-    hbuf = ks_stratified_sample(history, budget);
-    href = &hbuf;
-  }
-  if (budget > 0 && window.size() > budget) {
-    wbuf = ks_stratified_sample(window, budget);
-    wref = &wbuf;
-  }
-  const auto result = stats::ks2d_test(*href, *wref, config_.ks_peacock_limit);
+  const auto result =
+      stats::ks2d_test(history, window, config_.ks_peacock_limit);
   ShardRegime& regime = regimes_[shard];
   regime.similarity = result.similarity;
   ++regime.checks;

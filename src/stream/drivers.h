@@ -61,19 +61,14 @@ struct PlacerDriverConfig {
   /// Skip a scheduled re-anchor while the merged snapshot has fewer
   /// demand cells than this (too few cells make a degenerate instance).
   std::size_t reanchor_min_cells{2};
-  /// Forwarded to stats::ks2d_test: samples with n+m <= limit use the
-  /// exact O((n+m)^3) Peacock statistic. The stream default is 0 — never
-  /// exact — because sharding shrinks windows: at 8 shards a window that
-  /// sat comfortably above the batch-path default (400) falls below it and
-  /// every check pays the cubic path (the "8-shard cliff" documented in
-  /// EXPERIMENTS.md "Stream shard scaling").
+  /// Forwarded to stats::ks2d_test: samples with n+m <= limit use Peacock's
+  /// O((n+m)^2 log(n+m)) statistic instead of the O((n+m) log(n+m))
+  /// Fasano–Franceschini sweep. The stream default is 0 — never Peacock —
+  /// because sharding shrinks windows: at 8 shards a window that sat
+  /// comfortably above the batch-path default (400) falls below it and
+  /// every check pays the quadratic path (the "8-shard cliff" documented
+  /// in EXPERIMENTS.md "Stream shard scaling").
   std::size_t ks_peacock_limit{0};
-  /// Per-side stratified sample budget for the regime check (0 = off).
-  /// When a window or reference slice exceeds the budget, the check runs
-  /// on a deterministic midpoint-stride subsample of exactly `budget`
-  /// points (see ks_stratified_sample), bounding the quadratic
-  /// Fasano–Franceschini cost per check no matter how large windows grow.
-  std::size_t ks_sample_budget{0};
   /// Hours of per-cell hourly arrival history the driver accumulates for
   /// batch forecast refreshes (0 = off, the default). When enabled, each
   /// re-anchor fits the batched runtime (ml/batch.h) over every snapshot
@@ -88,16 +83,6 @@ struct PlacerDriverConfig {
   /// \throws std::invalid_argument on the first violated constraint.
   void validate() const;
 };
-
-/// Deterministic stratified subsample behind `ks_sample_budget`: exactly
-/// min(points.size(), budget) points, stratum j of k taking the midpoint
-/// index floor((2j+1)*n / (2k)). Stream windows are in arrival order, so
-/// the strata are contiguous time slices and every phase of the window
-/// stays represented. A pure function of (points, budget) — identical
-/// across runs, shard counts, and thread widths. budget == 0 (off) or
-/// n <= budget returns the input unchanged.
-[[nodiscard]] std::vector<geo::Point> ks_stratified_sample(
-    const std::vector<geo::Point>& points, std::size_t budget);
 
 /// Regime signal of one shard: the stream-window KS similarity against the
 /// shard's slice of the historical sample.

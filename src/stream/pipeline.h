@@ -140,6 +140,11 @@ class Pipeline {
 
   [[nodiscard]] PipelineStats stats() const;
 
+  /// Events merged since construction. A round's events are all consumed
+  /// before its first on_decision call, so inside a pump callback this
+  /// already counts the round being handed over.
+  [[nodiscard]] std::uint64_t merged_events() const { return merged_events_; }
+
   /// Checkpoint passthrough (see checkpoint.h for the format and the
   /// queues-drained contract).
   void save_checkpoint(std::ostream& os) const;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -170,6 +171,34 @@ TEST(ServeDaemon, DecidePathEchoesRefsAndCountsDecisions) {
   const ServeStatus status = client.status();
   EXPECT_EQ(status.decisions, events.size());
   EXPECT_EQ(status.events_consumed, events.size());
+  client.shutdown();
+  td.daemon->wait();
+}
+
+TEST(ServeDaemon, NonFiniteDecideIsAProtocolErrorAndServingGoesOn) {
+  TestDaemon td(37);
+  const auto events = trip_ends(38, 2);
+  {
+    ServeClient bad = td.connect();
+    set_deadline(bad, 30);
+    stream::Event e = events[0];
+    e.where.x = std::numeric_limits<double>::quiet_NaN();
+    try {
+      (void)bad.decide(e);
+      ADD_FAILURE() << "a NaN decide was answered with a decision";
+    } catch (const std::runtime_error& ex) {
+      EXPECT_NE(std::string(ex.what()).find("protocol error"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+  ServeClient client = td.connect();
+  set_deadline(client, 30);
+  const DecisionReply d = client.decide(events[1]);
+  EXPECT_EQ(d.ref, events[1].ref);
+  const ServeStatus status = client.status();
+  EXPECT_EQ(status.decisions, 1u);
+  EXPECT_EQ(status.events_consumed, 1u);
   client.shutdown();
   td.daemon->wait();
 }

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -149,6 +150,24 @@ TEST(ServeProtocol, CorruptPayloadsNeverHalfDecode) {
                std::runtime_error);
   // Trailing garbage after a complete body.
   EXPECT_THROW((void)decode_message(good + "x"), std::runtime_error);
+}
+
+TEST(ServeProtocol, NonFiniteCoordinatesAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (int field = 0; field < 4; ++field) {
+      stream::Event e = sample_event(0);
+      double* coords[] = {&e.where.x, &e.where.y, &e.origin.x, &e.origin.y};
+      *coords[field] = bad;
+      EXPECT_THROW((void)decode_message(encode_decide(e)), std::runtime_error)
+          << "field " << field << " = " << bad;
+      const std::vector<stream::Event> batch{sample_event(1), e};
+      EXPECT_THROW((void)decode_message(encode_publish_events(batch)),
+                   std::runtime_error)
+          << "field " << field << " = " << bad;
+    }
+  }
 }
 
 TEST(ServeProtocol, TunablesValidateBounds) {

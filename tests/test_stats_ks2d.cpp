@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "exec/thread_pool.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -141,6 +147,173 @@ TEST(Ks2d, WeekdayWeekendStyleShiftIsDetected) {
   const double sim_within = ks2d_test(w1, w2).similarity;
   const double sim_across = ks2d_test(w1, e1).similarity;
   EXPECT_GT(sim_within, sim_across + 10.0);
+}
+
+// --- Ks2dExact: the sweep against the frozen per-origin scan ---------------
+
+/// RAII width override so a failing assertion cannot leak a wide pool
+/// into later tests.
+struct ScopedThreads {
+  std::size_t original;
+  explicit ScopedThreads(std::size_t width) : original(exec::global_threads()) {
+    exec::set_global_threads(width);
+  }
+  ~ScopedThreads() { exec::set_global_threads(original); }
+};
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// D from the sweep must equal the scan's bit for bit, in both argument
+/// orders, at pool widths 1, 2 and 4 (the scan fans out on the pool).
+void expect_exact(const std::vector<Point>& a, const std::vector<Point>& b,
+                  const std::string& label) {
+  for (const std::size_t width : {1, 2, 4}) {
+    ScopedThreads scoped(width);
+    const double sweep_ab = fasano_franceschini_statistic(a, b);
+    const double scan_ab = reference::fasano_franceschini_scan(a, b);
+    const double sweep_ba = fasano_franceschini_statistic(b, a);
+    const double scan_ba = reference::fasano_franceschini_scan(b, a);
+    EXPECT_TRUE(same_bits(sweep_ab, scan_ab))
+        << label << " width " << width << ": sweep " << sweep_ab << " scan "
+        << scan_ab;
+    EXPECT_TRUE(same_bits(sweep_ba, scan_ba))
+        << label << " (swapped) width " << width << ": sweep " << sweep_ba
+        << " scan " << scan_ba;
+  }
+}
+
+std::vector<Point> grid_sample(Rng& rng, std::size_t n, std::size_t side) {
+  std::vector<Point> pts;
+  pts.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pts.push_back({static_cast<double>(rng.index(side)),
+                   static_cast<double>(rng.index(side))});
+  }
+  return pts;
+}
+
+TEST(Ks2dExact, UniformPoints) {
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    expect_exact(uniform_sample(300 + s, 40 + 37 * s),
+                 uniform_sample(400 + s, 25 + 51 * s),
+                 "uniform seed " + std::to_string(s));
+  }
+}
+
+TEST(Ks2dExact, IntegerGridTies) {
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    Rng rng(500 + s);
+    const std::size_t side = 2 + 3 * s;  // 2x2 up to 17x17 lattices
+    const auto a = grid_sample(rng, 60 + 10 * s, side);
+    const auto b = grid_sample(rng, 45 + 15 * s, side);
+    expect_exact(a, b, "grid side " + std::to_string(side));
+  }
+}
+
+TEST(Ks2dExact, AllIdenticalPoints) {
+  const std::vector<Point> a(50, Point{3.0, 3.0});
+  const std::vector<Point> same(40, Point{3.0, 3.0});
+  const std::vector<Point> other(40, Point{7.0, -2.0});
+  expect_exact(a, same, "identical, same point");
+  expect_exact(a, other, "identical, different points");
+  EXPECT_EQ(fasano_franceschini_statistic(a, same), 0.0);
+}
+
+TEST(Ks2dExact, SingletonAgainstLargeSample) {
+  const std::vector<Point> one{{500.0, 500.0}};
+  expect_exact(one, uniform_sample(601, 5000), "n = 1 vs m = 5000");
+}
+
+TEST(Ks2dExact, SharedXDifferentYAndTheReverse) {
+  Rng rng(700);
+  std::vector<Point> columns, rows, b;
+  for (std::size_t i = 0; i < 120; ++i) {
+    const double shared = static_cast<double>(i % 4) * 250.0;
+    const double free = rng.uniform(0.0, 1000.0);
+    columns.push_back({shared, free});
+    rows.push_back({free, shared});
+  }
+  b = uniform_sample(701, 90);
+  expect_exact(columns, b, "shared x");
+  expect_exact(rows, b, "shared y");
+  expect_exact(columns, rows, "shared x vs shared y");
+}
+
+TEST(Ks2dExact, NonFiniteAndSignedZeroCoordinates) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> special{nan, kInf, -kInf, -0.0, 0.0, 1.0, -1.0};
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    Rng rng(800 + s);
+    const auto draw = [&](std::size_t n) {
+      std::vector<Point> pts;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto coord = [&] {
+          return rng.bernoulli(0.5) ? special[rng.index(special.size())]
+                                    : rng.uniform(-2.0, 2.0);
+        };
+        const double x = coord();
+        pts.push_back({x, coord()});
+      }
+      return pts;
+    };
+    const auto a = draw(30 + 5 * s);
+    const auto b = draw(20 + 7 * s);
+    expect_exact(a, b, "special values seed " + std::to_string(s));
+    EXPECT_FALSE(std::isnan(fasano_franceschini_statistic(a, b)));
+  }
+  // Every origin with a NaN coordinate: D comes from the other marginal.
+  const std::vector<Point> nan_x_low{{nan, 0.0}, {nan, 1.0}, {2.0, nan}};
+  const std::vector<Point> nan_x_high{{nan, 5.0}, {nan, 6.0}, {nan, 7.0}};
+  expect_exact(nan_x_low, nan_x_high, "NaN x, split y");
+  EXPECT_GT(fasano_franceschini_statistic(nan_x_low, nan_x_high), 0.0);
+}
+
+TEST(Ks2dExact, MetroHistoryAndWindowShapes) {
+  // The stream regime check's inputs: ~1,000 history points against a
+  // ~900-point window, both clustered around hotspots in a 40 km box and
+  // clamped to it, so the box edges carry exact ties.
+  Rng rng(900);
+  constexpr double kArea = 40000.0;
+  std::vector<Point> centres;
+  for (std::size_t i = 0; i < 200; ++i) {
+    centres.push_back({rng.uniform(0.0, kArea), rng.uniform(0.0, kArea)});
+  }
+  const auto clustered = [&](std::size_t n, double noise_share) {
+    std::vector<Point> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(noise_share)) {
+        pts.push_back({rng.uniform(0.0, kArea), rng.uniform(0.0, kArea)});
+        continue;
+      }
+      const Point c = centres[rng.index(centres.size())];
+      pts.push_back({std::clamp(c.x + rng.normal(0.0, 300.0), 0.0, kArea),
+                     std::clamp(c.y + rng.normal(0.0, 300.0), 0.0, kArea)});
+    }
+    return pts;
+  };
+  const auto history = clustered(1000, 0.0);
+  expect_exact(history, clustered(900, 0.3), "metro window");
+  expect_exact(history, clustered(110, 0.3), "metro window, 8 shards");
+}
+
+TEST(Ks2dExact, RandomMixedCases) {
+  // Small random cases over every generator above, with random sizes.
+  Rng rng(1000);
+  for (std::size_t c = 0; c < 200; ++c) {
+    const auto draw = [&](std::size_t n) {
+      switch (c % 3) {
+        case 0: return uniform_points(rng, BoundingBox{{0, 0}, {10, 10}}, n);
+        case 1: return grid_sample(rng, n, 1 + c % 7);
+        default: return normal_points(rng, {0, 0}, 1.0, n);
+      }
+    };
+    const auto a = draw(1 + rng.index(40));
+    const auto b = draw(1 + rng.index(40));
+    expect_exact(a, b, "case " + std::to_string(c));
+  }
 }
 
 }  // namespace

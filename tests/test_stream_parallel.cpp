@@ -10,9 +10,8 @@
 ///     propagation, the pump's (event, decision) hand-over in seq order,
 ///     checkpoint round-trips, merge-stall accounting.
 ///   * StreamPeacockFix — the 8-shard cliff: the stream default never
-///     takes the O((n+m)^3) exact Peacock path, and neither the FF-only
-///     default nor the stratified sample budget changes decisions or KS
-///     verdicts.
+///     takes the O((n+m)^2 log(n+m)) Peacock path, and the FF-only default
+///     changes neither decisions nor KS verdicts.
 ///   * StreamLaneHammer — TSan target: concurrent batch publishers against
 ///     a pump running parallel lane drains on a small kBlock bus.
 
@@ -373,7 +372,7 @@ TEST(StreamPipelineFacade, ValidatesEveryNestedConfig) {
   EXPECT_THROW(bad_bus.validate(), std::invalid_argument);
 
   PipelineConfig bad_placer;
-  bad_placer.placer.ks_sample_budget = 2;
+  bad_placer.placer.regime_min_samples = 0;
   EXPECT_THROW(bad_placer.validate(), std::invalid_argument);
 
   PipelineConfig bad_incentive;
@@ -505,7 +504,7 @@ struct RegimeOut {
   std::vector<std::uint64_t> checks;
 };
 
-RegimeOut run_regimes(std::size_t peacock_limit, std::size_t budget,
+RegimeOut run_regimes(std::size_t peacock_limit,
                       const std::vector<Event>& log) {
   OnlineSystem sys(23);
   PipelineConfig cfg;
@@ -513,7 +512,6 @@ RegimeOut run_regimes(std::size_t peacock_limit, std::size_t budget,
   cfg.placer.regime_check_period = 32;
   cfg.placer.regime_min_samples = 8;
   cfg.placer.ks_peacock_limit = peacock_limit;
-  cfg.placer.ks_sample_budget = budget;
   cfg.lanes = 1;
   Pipeline pipeline(sys.system, sys.sample, cfg);
   RegimeOut out;
@@ -528,8 +526,8 @@ RegimeOut run_regimes(std::size_t peacock_limit, std::size_t budget,
 
 TEST(StreamPeacockFix, FfOnlyDefaultPinsTheExactPathVerdicts) {
   const auto log = mixed_log(42, 240);
-  const auto ff_only = run_regimes(0, 0, log);       // the stream default
-  const auto exact = run_regimes(1 << 20, 0, log);   // legacy cubic path
+  const auto ff_only = run_regimes(0, log);      // the stream default
+  const auto exact = run_regimes(1 << 20, log);  // legacy Peacock path
 
   // Regime checks never influence decisions — and the two statistics agree
   // on the verdict: similarities within a few points on every shard.
@@ -541,40 +539,6 @@ TEST(StreamPeacockFix, FfOnlyDefaultPinsTheExactPathVerdicts) {
     EXPECT_NEAR(ff_only.similarities[s], exact.similarities[s], 10.0)
         << "shard " << s;
   }
-}
-
-TEST(StreamPeacockFix, SampleBudgetKeepsDecisionsAndVerdicts) {
-  const auto log = mixed_log(47, 240);
-  const auto full = run_regimes(0, 0, log);
-  const auto budgeted = run_regimes(0, 48, log);
-
-  expect_same_decisions(full.decisions, budgeted.decisions);
-  ASSERT_EQ(full.checks.size(), budgeted.checks.size());
-  for (std::size_t s = 0; s < full.checks.size(); ++s) {
-    EXPECT_EQ(full.checks[s], budgeted.checks[s]) << "shard " << s;
-    EXPECT_NEAR(full.similarities[s], budgeted.similarities[s], 12.0)
-        << "shard " << s;
-  }
-}
-
-TEST(StreamPeacockFix, StratifiedSampleIsDeterministicAndOrdered) {
-  std::vector<Point> points;
-  for (int i = 0; i < 100; ++i) {
-    points.push_back({static_cast<double>(i), static_cast<double>(i * 2)});
-  }
-  const auto a = ks_stratified_sample(points, 16);
-  const auto b = ks_stratified_sample(points, 16);
-  ASSERT_EQ(a.size(), 16u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].x, b[i].x);
-    if (i > 0) {
-      EXPECT_LT(a[i - 1].x, a[i].x);  // strata ascend in time
-    }
-  }
-  // Within budget or disabled: the input passes through unchanged.
-  EXPECT_EQ(ks_stratified_sample(points, 100).size(), points.size());
-  EXPECT_EQ(ks_stratified_sample(points, 0).size(), points.size());
-  EXPECT_EQ(ks_stratified_sample({}, 8).size(), 0u);
 }
 
 // --- StreamLaneHammer -------------------------------------------------------
